@@ -12,7 +12,7 @@
 //
 //   - internal/storage lays slotted 8 KB pages across simulated striped
 //     volumes behind a page cache, and its heap scan delivers page-worth
-//     record slices per callback (Heap.ScanBatches) so decode costs
+//     record slices per callback (Heap.Scan) so decode costs
 //     amortize across a page.
 //   - internal/val defines the tagged value codec shared by storage, the
 //     B+tree (internal/btree), and the engine — plus the Batch type the
@@ -122,7 +122,7 @@
 //
 //   - A persistent scan-worker pool (sched.Pool) lives on the storage
 //     FileGroup for the life of the database. Parallel heap scans no
-//     longer spawn goroutines per query: Heap.ScanBatches dispatches
+//     longer spawn goroutines per query: Heap.Scan dispatches
 //     shard tasks onto the pool, and shards claim pages in morsel-sized
 //     chunks from per-stripe atomic counters. Shard w drains stripe w
 //     first (pages ≡ w mod dop — one volume per worker when dop equals

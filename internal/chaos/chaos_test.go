@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -24,10 +25,18 @@ func newFaultedHeap(t *testing.T, cfg Config, n int) (*storage.FileGroup, *stora
 	return fg, h, fv
 }
 
+// scanCount runs a serial scan of h and counts the records it visits.
+func scanCount(h *storage.Heap) (int, error) {
+	n := 0
+	err := h.Scan(context.Background(), 1, func(int) storage.RecBatchFunc {
+		return func(_ []storage.RID, recs [][]byte) error { n += len(recs); return nil }
+	})
+	return n, err
+}
+
 func countRows(t *testing.T, h *storage.Heap) int {
 	t.Helper()
-	n := 0
-	err := h.Scan(1, func(storage.RID, []byte) error { n++; return nil })
+	n, err := scanCount(h)
 	if err != nil {
 		t.Fatalf("scan: %v", err)
 	}
@@ -73,7 +82,7 @@ func TestFailNThenSucceed(t *testing.T) {
 	}
 	// Beyond the per-read attempt cap the error surfaces, classified.
 	fv.FailReads(0, 100)
-	err := h.Scan(1, func(storage.RID, []byte) error { return nil })
+	_, err := scanCount(h)
 	if !errors.Is(err, storage.ErrTransient) {
 		t.Fatalf("err = %v, want ErrTransient", err)
 	}
@@ -98,7 +107,7 @@ func TestRandomCorruptionIsRetriedAway(t *testing.T) {
 func TestStickyCorruptionIsPermanent(t *testing.T) {
 	fg, h, fv := newFaultedHeap(t, Config{Seed: 3}, 50)
 	fv.CorruptSticky(0)
-	err := h.Scan(1, func(storage.RID, []byte) error { return nil })
+	_, err := scanCount(h)
 	if !errors.Is(err, storage.ErrChecksum) {
 		t.Fatalf("err = %v, want ErrChecksum", err)
 	}
@@ -108,12 +117,18 @@ func TestStickyCorruptionIsPermanent(t *testing.T) {
 }
 
 func TestPanicReads(t *testing.T) {
-	_, h, fv := newFaultedHeap(t, Config{Seed: 9}, 50)
+	fg, h, fv := newFaultedHeap(t, Config{Seed: 9}, 50)
 	fv.PanicReads(0, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("serial scan should propagate the injected panic")
-		}
-	}()
-	_ = h.Scan(1, func(storage.RID, []byte) error { return nil })
+	// The serial scan confines the injected panic to the scan, as the
+	// parallel scan does, and reports it classified.
+	_, err := scanCount(h)
+	if !errors.Is(err, storage.ErrScanPanic) {
+		t.Fatalf("err = %v, want ErrScanPanic", err)
+	}
+	if got := fg.ScanPanics(); got != 1 {
+		t.Fatalf("scan panics counted = %d, want 1", got)
+	}
+	if got := countRows(t, h); got != 50 {
+		t.Fatalf("rows after the panic = %d, want 50", got)
+	}
 }

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -331,14 +332,20 @@ func (db *DB) CreateIndex(table, name string, keyCols, inclCols []string) (*Inde
 	}
 	row := make(val.Row, width)
 	for si, h := range t.heaps {
-		err = h.Scan(1, func(rid storage.RID, rec []byte) error {
-			for i := range row {
-				row[i] = val.Null()
+		err = h.Scan(context.TODO(), 1, func(int) storage.RecBatchFunc {
+			return func(rids []storage.RID, recs [][]byte) error {
+				// Every record decodes the same needed columns; the rest
+				// of row stays NULL from make.
+				for k, rec := range recs {
+					if _, err := val.DecodeRow(rec, row, width, need); err != nil {
+						return err
+					}
+					if err := ix.tree.Insert(indexEntry(ix, row, storage.TagRID(si, rids[k]))); err != nil {
+						return err
+					}
+				}
+				return nil
 			}
-			if _, err := val.DecodeRow(rec, row, width, need); err != nil {
-				return err
-			}
-			return ix.tree.Insert(indexEntry(ix, row, storage.TagRID(si, rid)))
 		})
 		if err != nil {
 			return nil, err
@@ -608,18 +615,19 @@ func (t *Table) DeleteRID(rid storage.RID) (bool, error) {
 func (t *Table) ScanRows(dop int, need []bool, fn func(rid storage.RID, row val.Row) error) error {
 	width := len(t.Cols)
 	for si, h := range t.heaps {
-		si := si
-		err := h.Scan(dop, func(rid storage.RID, rec []byte) error {
-			row := make(val.Row, width)
-			if need != nil {
-				for i := range row {
-					row[i] = val.Null()
+		err := h.Scan(context.TODO(), dop, func(int) storage.RecBatchFunc {
+			return func(rids []storage.RID, recs [][]byte) error {
+				for k, rec := range recs {
+					row := make(val.Row, width) // unneeded columns stay NULL
+					if _, err := val.DecodeRow(rec, row, width, need); err != nil {
+						return err
+					}
+					if err := fn(storage.TagRID(si, rids[k]), row); err != nil {
+						return err
+					}
 				}
+				return nil
 			}
-			if _, err := val.DecodeRow(rec, row, width, need); err != nil {
-				return err
-			}
-			return fn(storage.TagRID(si, rid), row)
 		})
 		if err != nil {
 			return err

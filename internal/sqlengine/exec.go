@@ -153,16 +153,17 @@ func mapCtxErr(err error) error {
 // and valid only for the duration of the call: consumers that retain data
 // must copy it out (individual val.Values are safe to keep — producers
 // never reuse blob backing bytes, only batch structure). Consumers may
-// narrow the batch's selection vector in place. Producers that run
-// multiple goroutines must serialize their emit calls, so a consumer never
-// sees two concurrent invocations.
+// narrow the batch's selection vector in place. A batchFn is never called
+// concurrently with itself (see sinkFactory).
 type batchFn func(b *val.Batch) error
 
-// Node is a physical plan operator. Run pushes the operator's output to
-// emit in batches of up to val.BatchSize rows.
+// Node is a physical plan operator. Run pushes the operator's output in
+// batches of up to val.BatchSize rows into the sinks mk hands out: a
+// producer with several workers (the heap scan) asks for one sink per
+// worker, every other producer calls mk(0) once.
 type Node interface {
 	Columns() []ColRef
-	Run(ctx *ExecCtx, emit batchFn) error
+	Run(ctx *ExecCtx, mk sinkFactory) error
 	explainTo(sb *strings.Builder, depth int)
 }
 
@@ -180,41 +181,47 @@ func Explain(n Node) string {
 }
 
 // sinkFactory hands each producer worker its own downstream sink,
-// mirroring storage.ScanBatchesCtx's per-worker callback shape: it is
-// called sequentially (never concurrently) once per worker before any
-// rows flow, the returned batchFn is then called only from that worker,
-// and the returned finalizer (may be nil) runs serially in worker order
-// on the driving goroutine after every worker has finished successfully —
-// it is not called when the run fails.
-type sinkFactory func(worker int) (batchFn, func() error)
+// mirroring storage.Heap.Scan's per-worker callback shape: it is called
+// sequentially (never concurrently) once per worker before any rows flow,
+// and the returned batchFn is then called only from that worker.
+// Operators that hold only per-worker state (filter, project) pass the
+// factory through; consumers that need all input before producing (agg,
+// sort, top-k) install one private accumulator per worker; consumers with
+// one shared state use runSerial.
+type sinkFactory func(worker int) batchFn
 
-// parallelNode is the opt-in half of the operator contract: a node that
-// can feed per-worker sinks without funneling through one serialized
-// emit. Operators that hold only per-worker state (scan, filter, project)
-// implement it and pass the factory through; consumers that need all
-// input before producing (agg, sort, top-k) call runParallel to install
-// one private accumulator per worker.
-type parallelNode interface {
-	Node
-	RunParallel(ctx *ExecCtx, mk sinkFactory) error
+// runSerial runs child for a consumer that keeps one shared state (the
+// result emit, TOP's counter, DISTINCT's seen set, a join side): every
+// producer worker gets the same sink, serialized by a mutex, so emit is
+// never called concurrently.
+func runSerial(ctx *ExecCtx, child Node, emit batchFn) error {
+	s := serialSinkPool.Get().(*serialSink)
+	s.emit = emit
+	err := child.Run(ctx, s.mk)
+	s.emit = nil
+	serialSinkPool.Put(s)
+	return err
 }
 
-// runParallel runs child against per-worker sinks when the child supports
-// them; otherwise the worker-0 sink consumes the child's ordinary emit
-// stream (which the child serializes internally per the batchFn contract).
-func runParallel(ctx *ExecCtx, child Node, mk sinkFactory) error {
-	if p, ok := child.(parallelNode); ok {
-		return p.RunParallel(ctx, mk)
-	}
-	sink, done := mk(0)
-	if err := child.Run(ctx, sink); err != nil {
-		return err
-	}
-	if done != nil {
-		return done()
-	}
-	return nil
+// serialSink is runSerial's shared sink, pooled with its bound callbacks
+// so serializing a run costs no allocation.
+type serialSink struct {
+	mu   sync.Mutex
+	emit batchFn
+	sink batchFn
+	mk   sinkFactory
 }
+
+var serialSinkPool = sync.Pool{New: func() any {
+	s := new(serialSink)
+	s.sink = func(b *val.Batch) error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.emit(b)
+	}
+	s.mk = func(int) batchFn { return s.sink }
+	return s
+}}
 
 // rowLess orders rows by the sort keys, breaking ties with a full-row
 // ascending comparison so the order is total. Parallel workers deliver
@@ -302,10 +309,10 @@ func outerCopyCols(ob *val.Batch, outerWidth int, outNeeded []bool, scratch val.
 type dualNode struct{}
 
 func (dualNode) Columns() []ColRef { return nil }
-func (dualNode) Run(ctx *ExecCtx, emit batchFn) error {
+func (dualNode) Run(ctx *ExecCtx, mk sinkFactory) error {
 	b := val.NewBatch(0)
 	b.Grow()
-	return emit(b)
+	return mk(0)(b)
 }
 func (dualNode) explainTo(sb *strings.Builder, depth int) {
 	indent(sb, depth)
@@ -319,9 +326,8 @@ func (dualNode) explainTo(sb *strings.Builder, depth int) {
 // evaluating the predicate on each of the 14M objects". Each worker
 // decodes page-worth record slices into its own batch, filters it with the
 // vectorized predicate, and pushes it into its own downstream sink
-// (sinkFactory), so decode, predicate evaluation, and — when the consumer
-// opts in — everything above stay fully parallel; the plain Run entry
-// point wraps one emit in a mutex for consumers that do not.
+// (sinkFactory), so decode, predicate evaluation, and everything above up
+// to the first consumer with shared state stay fully parallel.
 type scanNode struct {
 	table  *Table
 	cols   []ColRef
@@ -344,21 +350,6 @@ type scanNode struct {
 }
 
 func (s *scanNode) Columns() []ColRef { return s.cols }
-
-// Run is the serialized-emit fallback: every worker shares one
-// mutex-wrapped sink, reproducing the pre-parallel emit contract for
-// consumers that don't pull per-worker sinks.
-func (s *scanNode) Run(ctx *ExecCtx, emit batchFn) error {
-	var mu sync.Mutex
-	sink := func(b *val.Batch) error {
-		mu.Lock()
-		defer mu.Unlock()
-		return emit(b)
-	}
-	return s.RunParallel(ctx, func(int) (batchFn, func() error) {
-		return sink, nil
-	})
-}
 
 // routedShards evaluates the route bounds against the execution's
 // parameters and intersects the resulting HTM interval with the shard
@@ -402,139 +393,92 @@ func (s *scanNode) routedShards(ctx *ExecCtx) []int {
 	return s.table.shards.Plan().Route([]htm.Range{{Lo: lo, Hi: hi}})
 }
 
-func (s *scanNode) RunParallel(ctx *ExecCtx, mk sinkFactory) error {
-	if g := s.table.shards; s.table.ShardCount() > 1 {
-		shards := s.routedShards(ctx)
-		spatial := shards != nil
-		if shards == nil {
-			shards = make([]int, s.table.ShardCount())
-			for i := range shards {
-				shards[i] = i
-			}
-		}
-		g.RecordRoute(shards, spatial)
-		switch len(shards) {
-		case 0:
-			return nil
-		case 1:
-			return s.scanShard(ctx, shards[0], mk)
-		default:
-			return s.scanScatter(ctx, shards, mk)
+func (s *scanNode) Run(ctx *ExecCtx, mk sinkFactory) error {
+	if s.table.ShardCount() == 1 {
+		return s.scan(ctx, []int{0}, mk)
+	}
+	shards := s.routedShards(ctx)
+	spatial := shards != nil
+	if shards == nil {
+		shards = make([]int, s.table.ShardCount())
+		for i := range shards {
+			shards[i] = i
 		}
 	}
-	return s.scanShard(ctx, 0, mk)
+	s.table.shards.RecordRoute(shards, spatial)
+	return s.scan(ctx, shards, mk)
 }
 
-// scanShard scans one shard's heap — the whole table when unsharded.
-// This is the PR 8 parallel scan unchanged: ScanBatchesCtx calls mk
-// sequentially per worker and runs the finalizers serially in worker
-// order after a successful join.
-func (s *scanNode) scanShard(ctx *ExecCtx, si int, mk sinkFactory) error {
-	width := len(s.table.Cols)
-	var rowsSeen atomic.Int64
-	var pagesSeen atomic.Int64
-	heap := s.table.heaps[si]
-	// Per-worker batches and arenas, released together once every worker
-	// has exited (ScanBatches joins its goroutines before returning, on
-	// success and error alike). The mk callback runs sequentially on this
-	// goroutine before the workers start, so the append needs no lock.
-	type workerMem struct {
-		batch *val.Batch
-		ar    *val.Arena
+// shardRun is one shard's part of a scan: the shard's heap workers are
+// global workers base..base+dop-1.
+type shardRun struct {
+	si, dop, base int
+	rows, pages   atomic.Int64
+}
+
+// scanWorker is one global scan worker: its decode batch and arena, and
+// the downstream sink the consumer's factory gave it.
+type scanWorker struct {
+	s     *scanNode
+	ctx   *ExecCtx
+	run   *shardRun
+	batch *val.Batch
+	ar    *val.Arena
+	sink  batchFn
+}
+
+// page decodes one page's records into the worker's batch, flushing every
+// full batch downstream.
+func (w *scanWorker) page(rids []storage.RID, recs [][]byte) error {
+	w.ctx.PagesScanned.Add(1)
+	w.run.pages.Add(1)
+	if n := w.run.rows.Add(int64(len(recs))); n%4096 < int64(len(recs)) {
+		if err := w.ctx.checkDeadline(); err != nil {
+			return err
+		}
 	}
-	workers := make([]workerMem, 0, 8)
-	dop := ctx.scanDOP(heap.NumVolumes())
-	err := heap.ScanBatchesCtx(ctx.queryCtx(), dop, func(worker int) (storage.RecBatchFunc, func() error) {
-		batch := ctx.getBatch(width, val.BatchSize, s.needed)
-		ar := ctx.getArena()
-		workers = append(workers, workerMem{batch, ar})
-		sink, done := mk(worker)
-		flush := func() error {
-			if batch.Size() == 0 {
-				return nil
-			}
-			if err := s.filter.filter(ctx, batch, ar); err != nil {
+	width := len(w.s.table.Cols)
+	for _, rec := range recs {
+		idx := w.batch.Grow()
+		if _, err := w.batch.DecodeInto(idx, 0, rec, width, w.s.needed); err != nil {
+			return err
+		}
+		if w.batch.Full() {
+			if err := w.flush(); err != nil {
 				return err
 			}
-			if batch.Len() > 0 {
-				if err := sink(batch); err != nil {
-					return err
-				}
-			}
-			batch.Reset()
-			return nil
 		}
-		// The storage-level flush runs serially in worker order on the
-		// driving goroutine after a successful join — exactly where the
-		// sinkFactory contract wants the per-worker finalizer.
-		final := flush
-		if done != nil {
-			final = func() error {
-				if err := flush(); err != nil {
-					return err
-				}
-				return done()
-			}
-		}
-		fn := func(rids []storage.RID, recs [][]byte) error {
-			ctx.PagesScanned.Add(1)
-			pagesSeen.Add(1)
-			if n := rowsSeen.Add(int64(len(recs))); n%4096 < int64(len(recs)) {
-				if err := ctx.checkDeadline(); err != nil {
-					return err
-				}
-			}
-			for _, rec := range recs {
-				idx := batch.Grow()
-				if _, err := batch.DecodeInto(idx, 0, rec, width, s.needed); err != nil {
-					return err
-				}
-				if batch.Full() {
-					if err := flush(); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}
-		return fn, final
-	})
-	for _, w := range workers {
-		w.batch.Release()
-		w.ar.Release()
 	}
-	ctx.RowsScanned.Add(rowsSeen.Load())
-	if g := s.table.shards; s.table.ShardCount() > 1 {
-		g.AddPages(si, uint64(pagesSeen.Load()))
-	}
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		// The storage scan loop surfaces raw context errors; report them
-		// as the engine's query errors.
-		err = mapCtxErr(err)
-	}
-	return err
+	return nil
 }
 
-// scanScatter fans one logical scan out across the routed shards'
-// heaps concurrently and gathers the results through the PR 8 per-worker
-// sink contract: every (shard, local worker) pair becomes one global
-// worker whose sink and decode state are built sequentially up front,
-// each shard's ScanBatchesCtx runs on its own goroutine against its own
-// scan pool with a shared cancelable context (one query's retry budget
-// and deadline span all shards), and after every shard joins cleanly the
-// consumer finalizers run serially in global worker order — so partial
-// aggregates and sorted runs merge in a deterministic order and sharded
-// output stays byte-identical to single-shard.
-func (s *scanNode) scanScatter(ctx *ExecCtx, shards []int, mk sinkFactory) error {
-	width := len(s.table.Cols)
-	var rowsSeen atomic.Int64
-	type shardRun struct {
-		si    int
-		dop   int
-		base  int // first global worker index
-		pages atomic.Int64
+// flush filters the worker's batch and passes the surviving rows on.
+func (w *scanWorker) flush() error {
+	if w.batch.Size() == 0 {
+		return nil
 	}
-	var runs []*shardRun
+	if err := w.s.filter.filter(w.ctx, w.batch, w.ar); err != nil {
+		return err
+	}
+	if w.batch.Len() > 0 {
+		if err := w.sink(w.batch); err != nil {
+			return err
+		}
+	}
+	w.batch.Reset()
+	return nil
+}
+
+// scan reads the given shards' heaps — the one heap when unsharded. Every
+// (shard, local worker) pair becomes one global worker whose sink and
+// decode state are built sequentially up front. One shard scans on the
+// calling goroutine; several scan concurrently (see scatter). After every
+// shard has joined cleanly the workers' residual batches are flushed
+// serially in global worker order, so partial aggregates and sorted runs
+// merge in a deterministic order and sharded output stays byte-identical
+// to single-shard output.
+func (s *scanNode) scan(ctx *ExecCtx, shards []int, mk sinkFactory) error {
+	runs := make([]shardRun, 0, len(shards))
 	total := 0
 	for _, si := range shards {
 		heap := s.table.heaps[si]
@@ -549,105 +493,86 @@ func (s *scanNode) scanScatter(ctx *ExecCtx, shards []int, mk sinkFactory) error
 		if uint64(dop) > pages {
 			dop = int(pages)
 		}
-		runs = append(runs, &shardRun{si: si, dop: dop, base: total})
+		runs = append(runs, shardRun{si: si, dop: dop, base: total})
 		total += dop
 	}
 	if len(runs) == 0 {
 		return nil
 	}
-	if len(runs) == 1 {
-		return s.scanShard(ctx, runs[0].si, mk)
-	}
-	type worker struct {
-		batch *val.Batch
-		ar    *val.Arena
-		done  func() error
-		flush func() error
-		fn    storage.RecBatchFunc
-	}
-	workers := make([]*worker, total)
-	for _, run := range runs {
-		run := run
+	width := len(s.table.Cols)
+	workers := make([]scanWorker, total)
+	for ri := range runs {
+		run := &runs[ri]
 		for lw := 0; lw < run.dop; lw++ {
-			batch := ctx.getBatch(width, val.BatchSize, s.needed)
-			ar := ctx.getArena()
-			sink, done := mk(run.base + lw)
-			w := &worker{batch: batch, ar: ar, done: done}
-			w.flush = func() error {
-				if batch.Size() == 0 {
-					return nil
-				}
-				if err := s.filter.filter(ctx, batch, ar); err != nil {
-					return err
-				}
-				if batch.Len() > 0 {
-					if err := sink(batch); err != nil {
-						return err
-					}
-				}
-				batch.Reset()
-				return nil
+			workers[run.base+lw] = scanWorker{
+				s: s, ctx: ctx, run: run,
+				batch: ctx.getBatch(width, val.BatchSize, s.needed),
+				ar:    ctx.getArena(),
+				sink:  mk(run.base + lw),
 			}
-			w.fn = func(rids []storage.RID, recs [][]byte) error {
-				ctx.PagesScanned.Add(1)
-				run.pages.Add(1)
-				if n := rowsSeen.Add(int64(len(recs))); n%4096 < int64(len(recs)) {
-					if err := ctx.checkDeadline(); err != nil {
-						return err
-					}
-				}
-				for _, rec := range recs {
-					idx := batch.Grow()
-					if _, err := batch.DecodeInto(idx, 0, rec, width, s.needed); err != nil {
-						return err
-					}
-					if batch.Full() {
-						if err := w.flush(); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			}
-			workers[run.base+lw] = w
 		}
 	}
-	// Scatter: one goroutine per shard. A failing shard cancels the
-	// others; each shard's storage finalizer only flushes that worker's
-	// residual batch (into its private sink), so cross-shard flush order
-	// cannot affect the merged result.
-	qctx, cancel := context.WithCancel(ctx.queryCtx())
+	var errs []error
+	if len(runs) == 1 {
+		errs = []error{s.scanRun(ctx.queryCtx(), &runs[0], workers)}
+	} else {
+		errs = s.scatter(ctx.queryCtx(), runs, workers)
+	}
+	err := scanErr(errs)
+	for i := range workers {
+		if err != nil {
+			break
+		}
+		err = workers[i].flush()
+	}
+	for i := range workers {
+		workers[i].batch.Release()
+		workers[i].ar.Release()
+	}
+	for i := range runs {
+		ctx.RowsScanned.Add(runs[i].rows.Load())
+		if s.table.ShardCount() > 1 {
+			s.table.shards.AddPages(runs[i].si, uint64(runs[i].pages.Load()))
+		}
+	}
+	return err
+}
+
+// scanRun scans one shard's heap with its workers.
+func (s *scanNode) scanRun(qctx context.Context, run *shardRun, workers []scanWorker) error {
+	return s.table.heaps[run.si].Scan(qctx, run.dop, func(lw int) storage.RecBatchFunc {
+		return workers[run.base+lw].page
+	})
+}
+
+// scatter scans the shards concurrently, one goroutine per shard, each
+// against its own scan pool with a shared cancelable context (one query's
+// retry budget and deadline span all shards). A failing shard cancels the
+// others. It returns each shard's error.
+func (s *scanNode) scatter(qctx context.Context, runs []shardRun, workers []scanWorker) []error {
+	qctx, cancel := context.WithCancel(qctx)
 	defer cancel()
 	errs := make([]error, len(runs))
 	var wg sync.WaitGroup
-	for ri, run := range runs {
+	for ri := range runs {
 		wg.Add(1)
-		go func(ri int, run *shardRun) {
+		go func(ri int) {
 			defer wg.Done()
-			err := s.table.heaps[run.si].ScanBatchesCtx(qctx, run.dop, func(lw int) (storage.RecBatchFunc, func() error) {
-				w := workers[run.base+lw]
-				return w.fn, w.flush
-			})
-			if err != nil {
+			if err := s.scanRun(qctx, &runs[ri], workers); err != nil {
 				errs[ri] = err
 				cancel()
 			}
-		}(ri, run)
+		}(ri)
 	}
 	wg.Wait()
-	for _, w := range workers {
-		w.batch.Release()
-		w.ar.Release()
-	}
-	ctx.RowsScanned.Add(rowsSeen.Load())
-	g := s.table.shards
-	for _, run := range runs {
-		g.AddPages(run.si, uint64(run.pages.Load()))
-	}
-	// Prefer real failures over the context errors our own cancel
-	// induced on sibling shards; surface a context error only when no
-	// shard failed for another reason (i.e. the query itself was
-	// canceled or timed out).
+	return errs
+}
+
+// scanErr reduces the shards' errors to the scan's error. Real failures
+// are preferred over the context errors a sibling's cancel induced; a
+// context error surfaces, as the engine's query error, only when no shard
+// failed for another reason (the query itself was canceled or timed out).
+func scanErr(errs []error) error {
 	var real []error
 	var ctxErr error
 	for _, e := range errs {
@@ -667,27 +592,13 @@ func (s *scanNode) scanScatter(ctx *ExecCtx, shards []int, mk sinkFactory) error
 		return real[0]
 	case len(real) > 1:
 		return errors.Join(real...)
-	case ctxErr != nil:
-		return mapCtxErr(ctxErr)
 	}
-	// Gather: all shards joined clean — run the consumer finalizers
-	// serially in global worker order, exactly as a single ScanBatchesCtx
-	// would have.
-	for _, w := range workers {
-		if w.done == nil {
-			continue
-		}
-		if err := w.done(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return mapCtxErr(ctxErr)
 }
 
 func (s *scanNode) explainTo(sb *strings.Builder, depth int) {
 	indent(sb, depth)
-	dop := "parallel"
-	fmt.Fprintf(sb, "TableScan(%s, %s", s.table.Name, dop)
+	fmt.Fprintf(sb, "TableScan(%s, parallel", s.table.Name)
 	if n := s.table.ShardCount(); n > 1 {
 		// Compile-time route under the first-seen parameters; executions
 		// re-derive it from their own bindings.
@@ -744,7 +655,7 @@ type indexScanNode struct {
 
 func (s *indexScanNode) Columns() []ColRef { return s.cols }
 
-func (s *indexScanNode) Run(ctx *ExecCtx, emit batchFn) error {
+func (s *indexScanNode) Run(ctx *ExecCtx, mk sinkFactory) error {
 	// Evaluate bounds. eq and lo share one backing row (lo is eq plus the
 	// optional range start), so bound evaluation is a single allocation.
 	bounds := make(val.Row, len(s.eqExprs), len(s.eqExprs)+1)
@@ -794,6 +705,7 @@ func (s *indexScanNode) Run(ctx *ExecCtx, emit batchFn) error {
 	ar := ctx.getArena()
 	defer ar.Release()
 	keyDst, inclDst := s.keyDst, s.inclDst
+	emit := mk(0)
 	flush := func() error {
 		if batch.Size() == 0 {
 			return nil
@@ -905,7 +817,7 @@ type tvfNode struct {
 
 func (t *tvfNode) Columns() []ColRef { return t.cols }
 
-func (t *tvfNode) Run(ctx *ExecCtx, emit batchFn) error {
+func (t *tvfNode) Run(ctx *ExecCtx, mk sinkFactory) error {
 	args := make([]val.Value, len(t.args))
 	for i, a := range t.args {
 		v, err := a(ctx, nil)
@@ -916,7 +828,7 @@ func (t *tvfNode) Run(ctx *ExecCtx, emit batchFn) error {
 	}
 	// The function streams val.Batch directly — no []val.Row
 	// materialization between the function and the plan.
-	return t.fn.Fn(ctx, args, TVFEmit(emit))
+	return t.fn.Fn(ctx, args, TVFEmit(mk(0)))
 }
 
 func (t *tvfNode) explainTo(sb *strings.Builder, depth int) {
@@ -935,11 +847,12 @@ type memScanNode struct {
 
 func (m *memScanNode) Columns() []ColRef { return m.cols }
 
-func (m *memScanNode) Run(ctx *ExecCtx, emit batchFn) error {
+func (m *memScanNode) Run(ctx *ExecCtx, mk sinkFactory) error {
 	batch := ctx.getBatch(len(m.cols), len(m.mem.Rows), nil)
 	defer batch.Release()
 	ar := ctx.getArena()
 	defer ar.Release()
+	emit := mk(0)
 	flush := func() error {
 		if batch.Size() == 0 {
 			return nil
@@ -1013,13 +926,13 @@ type indexJoinNode struct {
 
 func (j *indexJoinNode) Columns() []ColRef { return j.cols }
 
-func (j *indexJoinNode) Run(ctx *ExecCtx, emit batchFn) error {
+func (j *indexJoinNode) Run(ctx *ExecCtx, mk sinkFactory) error {
 	var buf []byte
 	if !j.covering {
 		buf = storage.GetPageBuf()
 		defer storage.PutPageBuf(buf)
 	}
-	var mu sync.Mutex // outer may be a parallel scan
+	emit := mk(0)
 	outerWidth := len(j.cols) - j.innerWidth
 	out := ctx.getBatch(len(j.cols), val.BatchSize, j.outNeeded)
 	defer out.Release()
@@ -1054,9 +967,7 @@ func (j *indexJoinNode) Run(ctx *ExecCtx, emit batchFn) error {
 	colListBuf := make([]int, 0, 2*outerWidth)
 	readCols := colListBuf[:0:outerWidth]
 	writeCols := colListBuf[outerWidth : outerWidth : 2*outerWidth]
-	err := j.outer.Run(ctx, func(ob *val.Batch) error {
-		mu.Lock()
-		defer mu.Unlock()
+	err := runSerial(ctx, j.outer, func(ob *val.Batch) error {
 		readCols, writeCols = outerCopyCols(ob, outerWidth, j.outNeeded, outerScratch, readCols, writeCols)
 		probed := int64(0)
 		sel := ob.Sel()
@@ -1150,14 +1061,11 @@ type nlJoinNode struct {
 
 func (j *nlJoinNode) Columns() []ColRef { return j.cols }
 
-func (j *nlJoinNode) Run(ctx *ExecCtx, emit batchFn) error {
+func (j *nlJoinNode) Run(ctx *ExecCtx, mk sinkFactory) error {
 	innerWidth := len(j.inner.Columns())
 	store := ctx.getRowStore(innerWidth)
 	defer store.Release()
-	var mu sync.Mutex
-	if err := j.inner.Run(ctx, func(b *val.Batch) error {
-		mu.Lock()
-		defer mu.Unlock()
+	if err := runSerial(ctx, j.inner, func(b *val.Batch) error {
 		b.Each(func(i int) { b.RowAt(i, store.NewRow()) })
 		return nil
 	}); err != nil {
@@ -1165,7 +1073,7 @@ func (j *nlJoinNode) Run(ctx *ExecCtx, emit batchFn) error {
 	}
 	innerRows := store.Rows()
 	outerWidth := len(j.cols) - innerWidth
-	var emitMu sync.Mutex
+	emit := mk(0)
 	rows := int64(0)
 	out := ctx.getBatch(len(j.cols), val.BatchSize, j.outNeeded)
 	defer out.Release()
@@ -1198,9 +1106,7 @@ func (j *nlJoinNode) Run(ctx *ExecCtx, emit batchFn) error {
 	}
 	readCols := colListBuf[:0:outerWidth]
 	writeCols := colListBuf[outerWidth : outerWidth : 2*outerWidth]
-	err := j.outer.Run(ctx, func(ob *val.Batch) error {
-		emitMu.Lock()
-		defer emitMu.Unlock()
+	err := runSerial(ctx, j.outer, func(ob *val.Batch) error {
 		readCols, writeCols = outerCopyCols(ob, outerWidth, j.outNeeded, outerScratch, readCols, writeCols)
 		sel := ob.Sel()
 		for k, n := 0, ob.Len(); k < n; k++ {
@@ -1262,32 +1168,15 @@ type filterNode struct {
 
 func (f *filterNode) Columns() []ColRef { return f.child.Columns() }
 
-// Run is the serial path: one arena shared across calls, safe because the
-// child serializes its emit stream per the batchFn contract. Plans whose
-// consumer pulls per-worker sinks go through RunParallel instead.
-func (f *filterNode) Run(ctx *ExecCtx, emit batchFn) error {
-	ar := ctx.getArena()
-	defer ar.Release()
-	return f.child.Run(ctx, func(b *val.Batch) error {
-		if err := f.cond.filter(ctx, b, ar); err != nil {
-			return err
-		}
-		if b.Len() == 0 {
-			return nil
-		}
-		return emit(b)
-	})
-}
-
-// RunParallel evaluates the predicate in each worker with a private arena
-// and passes the per-worker sinks straight through — a filter holds no
+// Run evaluates the predicate in each worker with a private arena and
+// passes the per-worker sinks straight through — a filter holds no
 // cross-batch state, so it never needs the serialization point.
-func (f *filterNode) RunParallel(ctx *ExecCtx, mk sinkFactory) error {
+func (f *filterNode) Run(ctx *ExecCtx, mk sinkFactory) error {
 	arenas := make([]*val.Arena, 0, 8)
-	err := runParallel(ctx, f.child, func(worker int) (batchFn, func() error) {
+	err := f.child.Run(ctx, func(worker int) batchFn {
 		ar := ctx.getArena()
 		arenas = append(arenas, ar)
-		sink, done := mk(worker)
+		sink := mk(worker)
 		return func(b *val.Batch) error {
 			if err := f.cond.filter(ctx, b, ar); err != nil {
 				return err
@@ -1296,7 +1185,7 @@ func (f *filterNode) RunParallel(ctx *ExecCtx, mk sinkFactory) error {
 				return nil
 			}
 			return sink(b)
-		}, done
+		}
 	})
 	for _, ar := range arenas {
 		ar.Release()
@@ -1754,7 +1643,7 @@ func (p *aggPartial) merge(o *aggPartial) {
 
 func (a *aggNode) Columns() []ColRef { return a.cols }
 
-func (a *aggNode) Run(ctx *ExecCtx, emit batchFn) error {
+func (a *aggNode) Run(ctx *ExecCtx, mk sinkFactory) error {
 	nGroup, nAgg := len(a.groupBy), len(a.aggs)
 	// Partial phase: one private partial per scan worker, acquired in the
 	// sequential sinkFactory call, filled lock-free on that worker.
@@ -1764,10 +1653,10 @@ func (a *aggNode) Run(ctx *ExecCtx, emit batchFn) error {
 			p.release()
 		}
 	}()
-	err := runParallel(ctx, a.child, func(worker int) (batchFn, func() error) {
+	err := a.child.Run(ctx, func(worker int) batchFn {
 		p := getAggPartial(ctx, nAgg, nGroup)
 		parts = append(parts, p)
-		return func(b *val.Batch) error { return p.absorb(ctx, a, b) }, nil
+		return func(b *val.Batch) error { return p.absorb(ctx, a, b) }
 	})
 	if err != nil {
 		return err
@@ -1790,6 +1679,7 @@ func (a *aggNode) Run(ctx *ExecCtx, emit batchFn) error {
 	}
 	out := ctx.getBatch(len(a.cols), nOut, nil)
 	defer out.Release()
+	emit := mk(0)
 	for oi := 0; oi < nOut; oi++ {
 		st := root.global
 		if nGroup > 0 {
@@ -1862,17 +1752,53 @@ type projectNode struct {
 
 func (p *projectNode) Columns() []ColRef { return p.cols }
 
-// Run is the serial path: one output batch and arena shared across calls,
-// safe because the child serializes its emit stream per the batchFn
-// contract. Plans whose consumer pulls per-worker sinks go through
-// RunParallel instead.
-func (p *projectNode) Run(ctx *ExecCtx, emit batchFn) error {
-	width := len(p.exprs) + len(p.hidden)
-	out := ctx.getBatch(width, val.BatchSize, nil)
-	defer out.Release()
+// Run computes the projection in each worker with a private output batch
+// and arena; the expression kernels are compile-time immutable, so sharing
+// them across workers is safe.
+func (p *projectNode) Run(ctx *ExecCtx, mk sinkFactory) error {
+	r := projectRunPool.Get().(*projectRun)
+	r.p, r.ctx, r.mk = p, ctx, mk
+	err := p.child.Run(ctx, r.factory)
+	for _, w := range r.workers {
+		w.out.Release()
+		w.ar.Release()
+	}
+	clear(r.workers)
+	r.p, r.ctx, r.mk, r.workers = nil, nil, nil, r.workers[:0]
+	projectRunPool.Put(r)
+	return err
+}
+
+// projectRun is one execution's per-worker projection state. It is pooled
+// with its bound factory, so splitting the projection across workers costs
+// one sink closure per worker and nothing else.
+type projectRun struct {
+	p       *projectNode
+	ctx     *ExecCtx
+	mk      sinkFactory
+	workers []projectWorker
+	factory sinkFactory // r.worker, bound once
+}
+
+type projectWorker struct {
+	out *val.Batch
+	ar  *val.Arena
+}
+
+var projectRunPool = sync.Pool{New: func() any {
+	r := new(projectRun)
+	r.factory = r.worker
+	return r
+}}
+
+// worker builds worker w's output batch, arena and projecting sink.
+func (r *projectRun) worker(w int) batchFn {
+	p, ctx := r.p, r.ctx
+	out := ctx.getBatch(len(p.exprs)+len(p.hidden), val.BatchSize, nil)
 	ar := ctx.getArena()
-	defer ar.Release()
-	return p.child.Run(ctx, func(b *val.Batch) error {
+	r.workers = append(r.workers, projectWorker{out, ar})
+	sink := r.mk(w)
+	return func(b *val.Batch) error {
 		if b.Len() == 0 {
 			return nil
 		}
@@ -1892,53 +1818,8 @@ func (p *projectNode) Run(ctx *ExecCtx, emit batchFn) error {
 			out.SetColumn(len(p.exprs)+j, col)
 		}
 		out.SetSize(b.Len())
-		return emit(out)
-	})
-}
-
-// RunParallel computes the projection in each worker with a private output
-// batch and arena; the expression kernels are compile-time immutable, so
-// sharing them across workers is safe.
-func (p *projectNode) RunParallel(ctx *ExecCtx, mk sinkFactory) error {
-	width := len(p.exprs) + len(p.hidden)
-	type workerMem struct {
-		out *val.Batch
-		ar  *val.Arena
+		return sink(out)
 	}
-	workers := make([]workerMem, 0, 8)
-	err := runParallel(ctx, p.child, func(worker int) (batchFn, func() error) {
-		out := ctx.getBatch(width, val.BatchSize, nil)
-		ar := ctx.getArena()
-		workers = append(workers, workerMem{out, ar})
-		sink, done := mk(worker)
-		return func(b *val.Batch) error {
-			if b.Len() == 0 {
-				return nil
-			}
-			out.Reset()
-			for j, e := range p.exprs {
-				col, err := e.appendTo(ctx, b, ar, out.ColBuf(j))
-				if err != nil {
-					return err
-				}
-				out.SetColumn(j, col)
-			}
-			for j, e := range p.hidden {
-				col, err := e.appendTo(ctx, b, ar, out.ColBuf(len(p.exprs)+j))
-				if err != nil {
-					return err
-				}
-				out.SetColumn(len(p.exprs)+j, col)
-			}
-			out.SetSize(b.Len())
-			return sink(out)
-		}, done
-	})
-	for _, w := range workers {
-		w.out.Release()
-		w.ar.Release()
-	}
-	return err
 }
 
 func (p *projectNode) explainTo(sb *strings.Builder, depth int) {
@@ -1955,14 +1836,12 @@ type distinctNode struct {
 
 func (d *distinctNode) Columns() []ColRef { return d.child.Columns() }
 
-func (d *distinctNode) Run(ctx *ExecCtx, emit batchFn) error {
+func (d *distinctNode) Run(ctx *ExecCtx, mk sinkFactory) error {
 	seen := make(map[string]bool)
-	var mu sync.Mutex
 	var keyEnc []byte
 	var scratch val.Row
-	return d.child.Run(ctx, func(b *val.Batch) error {
-		mu.Lock()
-		defer mu.Unlock()
+	emit := mk(0)
+	return runSerial(ctx, d.child, func(b *val.Batch) error {
 		if scratch == nil {
 			scratch = make(val.Row, b.Width())
 		}
@@ -2007,7 +1886,7 @@ type sortNode struct {
 
 func (s *sortNode) Columns() []ColRef { return s.child.Columns() }
 
-func (s *sortNode) Run(ctx *ExecCtx, emit batchFn) error {
+func (s *sortNode) Run(ctx *ExecCtx, mk sinkFactory) error {
 	// Input width is the visible columns plus the hidden ORDER BY keys
 	// (child.Columns() reports only the visible schema; every hidden
 	// column has a keyPos entry).
@@ -2023,13 +1902,13 @@ func (s *sortNode) Run(ctx *ExecCtx, emit batchFn) error {
 			st.Release()
 		}
 	}()
-	err := runParallel(ctx, s.child, func(worker int) (batchFn, func() error) {
+	err := s.child.Run(ctx, func(worker int) batchFn {
 		store := ctx.getRowStore(width)
 		stores = append(stores, store)
 		return func(b *val.Batch) error {
 			b.Each(func(i int) { b.RowAt(i, store.NewRow()) })
 			return nil
-		}, nil
+		}
 	})
 	if err != nil {
 		return err
@@ -2051,6 +1930,7 @@ func (s *sortNode) Run(ctx *ExecCtx, emit batchFn) error {
 	}
 	out := ctx.getBatch(s.visible, capacity, nil)
 	defer out.Release()
+	emit := mk(0)
 	err = mergeRuns(runs, s.keyPos, s.desc, func(r val.Row) error {
 		out.AppendRow(r[:s.visible])
 		if out.Full() {
@@ -2232,9 +2112,10 @@ type topNode struct {
 
 func (t *topNode) Columns() []ColRef { return t.child.Columns() }
 
-func (t *topNode) Run(ctx *ExecCtx, emit batchFn) error {
+func (t *topNode) Run(ctx *ExecCtx, mk sinkFactory) error {
 	count := 0
-	err := t.child.Run(ctx, func(b *val.Batch) error {
+	emit := mk(0)
+	err := runSerial(ctx, t.child, func(b *val.Batch) error {
 		if count >= t.n {
 			return errStopEarly
 		}
@@ -2340,7 +2221,7 @@ func (h *topKHeap) down(t *topKNode, i int) {
 	}
 }
 
-func (t *topKNode) Run(ctx *ExecCtx, emit batchFn) error {
+func (t *topKNode) Run(ctx *ExecCtx, mk sinkFactory) error {
 	// Visible columns plus hidden ORDER BY keys (see sortNode.Run).
 	width := t.visible
 	for _, p := range t.keyPos {
@@ -2354,13 +2235,13 @@ func (t *topKNode) Run(ctx *ExecCtx, emit batchFn) error {
 			h.store.Release()
 		}
 	}()
-	err := runParallel(ctx, t.child, func(worker int) (batchFn, func() error) {
+	err := t.child.Run(ctx, func(worker int) batchFn {
 		h := &topKHeap{store: ctx.getRowStore(width)}
 		heaps = append(heaps, h)
 		return func(b *val.Batch) error {
 			b.Each(func(i int) { h.offer(t, b, i) })
 			return nil
-		}, nil
+		}
 	})
 	if err != nil {
 		return err
@@ -2375,6 +2256,7 @@ func (t *topKNode) Run(ctx *ExecCtx, emit batchFn) error {
 	}
 	out := ctx.getBatch(t.visible, len(all), nil)
 	defer out.Release()
+	emit := mk(0)
 	for _, r := range all {
 		out.AppendRow(r[:t.visible])
 		if out.Full() {
@@ -2404,8 +2286,9 @@ type stripNode struct {
 
 func (s *stripNode) Columns() []ColRef { return s.child.Columns() }
 
-func (s *stripNode) Run(ctx *ExecCtx, emit batchFn) error {
-	return s.child.Run(ctx, func(b *val.Batch) error {
+func (s *stripNode) Run(ctx *ExecCtx, mk sinkFactory) error {
+	emit := mk(0)
+	return runSerial(ctx, s.child, func(b *val.Batch) error {
 		return emit(b.Project(s.visible))
 	})
 }
@@ -2431,10 +2314,6 @@ var (
 	_ Node = (*topKNode)(nil)
 	_ Node = (*stripNode)(nil)
 	_ Node = dualNode{}
-
-	_ parallelNode = (*scanNode)(nil)
-	_ parallelNode = (*filterNode)(nil)
-	_ parallelNode = (*projectNode)(nil)
 
 	_ = btree.MaxKeyColumns
 )

@@ -305,10 +305,7 @@ func (s *Session) execStmts(qctx context.Context, stmts []Statement, params []va
 	if res.compiled != nil {
 		res.Class, _ = res.compiled.ClassFor(s, params)
 	}
-	res.Elapsed = time.Since(startWall)
-	res.CPU = processCPU() - startCPU
-	res.RowsScanned = ctx.RowsScanned.Load()
-	res.PagesScanned = ctx.PagesScanned.Load()
+	res.recordStats(ctx, startWall, startCPU)
 	return res, nil
 }
 
@@ -328,11 +325,17 @@ func (s *Session) execCachedPlan(qctx context.Context, cp *CompiledPlan, params 
 	if err := s.runPlan(cp, "", ctx, opt, res, sink); err != nil {
 		return nil, err
 	}
+	res.recordStats(ctx, startWall, startCPU)
+	return res, nil
+}
+
+// recordStats fills in the statistics of the execution that started at
+// startWall and startCPU and ran under ctx.
+func (res *Result) recordStats(ctx *ExecCtx, startWall time.Time, startCPU time.Duration) {
 	res.Elapsed = time.Since(startWall)
 	res.CPU = processCPU() - startCPU
 	res.RowsScanned = ctx.RowsScanned.Load()
 	res.PagesScanned = ctx.PagesScanned.Load()
-	return res, nil
 }
 
 // Explain plans a batch and returns its plan text without running it. It
@@ -590,14 +593,16 @@ func (s *Session) execSelect(st *SelectStmt, ctx *ExecCtx, opt ExecOptions, res 
 // text come from the plan (rendered once at compile), so a cache hit's
 // result assembly allocates only the gathered rows.
 func (s *Session) runPlan(cp *CompiledPlan, into string, ctx *ExecCtx, opt ExecOptions, res *Result, sink ResultBatchFunc) error {
-	truncated := false
+	// The rows gather straight into res, not into locals the root sink
+	// would capture as separate heap allocations. A batch's earlier SELECT
+	// may have left its own there; on error the caller discards res.
+	res.Rows, res.Truncated = nil, false
 	limit := opt.MaxRows
 	sent := 0
-	var rows []val.Row
 	// INTO needs the rows materialized for the target table even when the
 	// result set is also streamed to a sink.
 	gather := sink == nil || into != ""
-	err := cp.root.Run(ctx, func(b *val.Batch) error {
+	err := runSerial(ctx, cp.root, func(b *val.Batch) error {
 		// The result boundary polls cancellation too: a query whose plan
 		// spends no time in scans (memory tables, TVFs) still aborts
 		// within one output batch of the context closing.
@@ -607,12 +612,12 @@ func (s *Session) runPlan(cp *CompiledPlan, into string, ctx *ExecCtx, opt ExecO
 		if limit > 0 {
 			rem := limit - sent
 			if rem <= 0 {
-				truncated = true
+				res.Truncated = true
 				return errStopEarly
 			}
 			if b.Len() > rem {
 				b.Truncate(rem)
-				truncated = true
+				res.Truncated = true
 			}
 		}
 		sent += b.Len()
@@ -624,7 +629,7 @@ func (s *Session) runPlan(cp *CompiledPlan, into string, ctx *ExecCtx, opt ExecO
 			b.Each(func(i int) {
 				r := val.Row(backing[:width:width])
 				backing = backing[width:]
-				rows = append(rows, b.RowAt(i, r))
+				res.Rows = append(res.Rows, b.RowAt(i, r))
 			})
 		}
 		if sink != nil {
@@ -643,17 +648,15 @@ func (s *Session) runPlan(cp *CompiledPlan, into string, ctx *ExecCtx, opt ExecO
 		for i := range cp.cols {
 			mt.Cols = append(mt.Cols, Column{Name: cp.cols[i], Kind: cp.kinds[i]})
 		}
-		mt.Rows = rows
+		mt.Rows = res.Rows
 		// SELECT INTO a permanent name also lands in the session under
 		// that name (the engine is a warehouse; ad-hoc result tables stay
 		// session-local).
 		s.temps[fold(into)] = mt
-		res.RowsAffected = int64(len(rows))
+		res.RowsAffected = int64(len(res.Rows))
 	}
 	res.Cols = cp.cols
 	res.Kinds = cp.kinds
-	res.Rows = rows
-	res.Truncated = truncated
 	res.Plan = cp.explain
 	return nil
 }
@@ -671,7 +674,7 @@ func (s *Session) execInsert(st *InsertStmt, ctx *ExecCtx, opt ExecOptions, res 
 		for _, c := range node.Columns() {
 			inCols = append(inCols, c.Name)
 		}
-		if err := node.Run(ctx, func(b *val.Batch) error {
+		if err := runSerial(ctx, node, func(b *val.Batch) error {
 			b.Each(func(i int) {
 				inRows = append(inRows, b.RowAt(i, make(val.Row, b.Width())))
 			})

@@ -97,7 +97,7 @@ func TestChecksumDetectsStoredCorruption(t *testing.T) {
 
 	// A scan over the corrupted heap fails with the same classified error —
 	// never silently delivers bad bytes.
-	err = h.Scan(1, func(RID, []byte) error { return nil })
+	err = scanRecs(h, 1, func(RID, []byte) error { return nil })
 	if !errors.Is(err, ErrChecksum) {
 		t.Fatalf("scan over corrupted page: err = %v, want ErrChecksum", err)
 	}
@@ -208,38 +208,45 @@ func TestCanceledContextStopsRetries(t *testing.T) {
 }
 
 func TestScanShardPanicIsolated(t *testing.T) {
-	fg := NewMemFileGroup(4, 1<<10)
-	defer fg.Close()
-	h := NewHeap(fg)
-	fillHeap(t, h, 400) // several pages across all stripes
+	// dop 1 is the serial scan (a 1-page heap or shard, MaxConcurrency=1,
+	// DOP: 1): it must confine the panic exactly like the parallel scan.
+	for _, dop := range []int{1, 4} {
+		fg := NewMemFileGroup(4, 1<<10)
+		defer fg.Close()
+		h := NewHeap(fg)
+		fillHeap(t, h, 400) // several pages across all stripes
 
-	// Panic on a fixed page so exactly one shard — whichever claims it —
-	// blows up, regardless of how the pool schedules shards.
-	err := h.ScanBatches(4, func(worker int) (RecBatchFunc, func() error) {
-		return func(rids []RID, recs [][]byte) error {
-			if rids[0].Page() == 2 {
-				panic("poisoned page decode")
+		// Panic on a fixed page so exactly one shard — whichever claims it —
+		// blows up, regardless of how the pool schedules shards.
+		err := h.Scan(context.Background(), dop, func(worker int) RecBatchFunc {
+			return func(rids []RID, recs [][]byte) error {
+				if rids[0].Page() == 2 {
+					panic("poisoned page decode")
+				}
+				return nil
 			}
-			return nil
-		}, nil
-	})
-	if !errors.Is(err, ErrScanPanic) {
-		t.Fatalf("scan with panicking shard: err = %v, want ErrScanPanic", err)
-	}
+		})
+		if !errors.Is(err, ErrScanPanic) {
+			t.Fatalf("dop=%d: scan with panicking shard: err = %v, want ErrScanPanic", dop, err)
+		}
+		if got := fg.ScanPanics(); got != 1 {
+			t.Errorf("dop=%d: scan panics counted = %d, want 1", dop, got)
+		}
 
-	// The pool and heap survive: a follow-up scan sees every record.
-	var mu sync.Mutex
-	seen := 0
-	err = h.Scan(4, func(RID, []byte) error {
-		mu.Lock()
-		seen++
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("scan after panic: %v", err)
-	}
-	if seen != 400 {
-		t.Fatalf("rows after panic = %d, want 400", seen)
+		// The pool and heap survive: a follow-up scan sees every record.
+		var mu sync.Mutex
+		seen := 0
+		err = scanRecs(h, dop, func(RID, []byte) error {
+			mu.Lock()
+			seen++
+			mu.Unlock()
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("dop=%d: scan after panic: %v", dop, err)
+		}
+		if seen != 400 {
+			t.Fatalf("dop=%d: rows after panic = %d, want 400", dop, seen)
+		}
 	}
 }

@@ -68,6 +68,7 @@ type FileGroup struct {
 	physBytes     atomic.Uint64
 	readRetries   atomic.Uint64
 	checksumFails atomic.Uint64
+	scanPanics    atomic.Uint64
 }
 
 // NewFileGroup creates a file group over the given volumes with a page
@@ -216,6 +217,10 @@ func (fg *FileGroup) ReadRetries() uint64 { return fg.readRetries.Load() }
 // ChecksumFails returns the number of physical reads whose page checksum
 // did not verify.
 func (fg *FileGroup) ChecksumFails() uint64 { return fg.checksumFails.Load() }
+
+// ScanPanics returns the number of scan shards whose panic was confined to
+// its own scan and returned as ErrScanPanic.
+func (fg *FileGroup) ScanPanics() uint64 { return fg.scanPanics.Load() }
 
 // Close stops the scan pool and closes all volumes.
 func (fg *FileGroup) Close() error {
@@ -462,64 +467,29 @@ func (h *Heap) Delete(rid RID) (bool, error) {
 	return true, nil
 }
 
-// ScanFunc receives each live record during a scan. rec aliases an internal
-// page buffer: copy it to retain. Scans with dop > 1 call fn concurrently.
-type ScanFunc func(rid RID, rec []byte) error
-
-// Scan visits every live record. dop <= 0 selects one worker per volume
-// (the paper's parallel prefetch model); dop == 1 is a serial scan. Page
-// ranges are dealt round-robin so each worker streams one volume when dop
-// equals the stripe width.
-func (h *Heap) Scan(dop int, fn ScanFunc) error {
-	return h.ScanWorkers(dop, func(int) (ScanFunc, func() error) { return fn, nil })
-}
-
-// ScanWorkers is Scan with per-worker state: mk is called once per scan
-// worker and returns that worker's record callback plus an optional flush
-// run (serially, in worker order) after all workers finish successfully.
-// This lets consumers batch without sharing state across goroutines.
-func (h *Heap) ScanWorkers(dop int, mk func(worker int) (ScanFunc, func() error)) error {
-	return h.ScanBatches(dop, func(worker int) (RecBatchFunc, func() error) {
-		fn, flush := mk(worker)
-		bf := func(rids []RID, recs [][]byte) error {
-			for i, rec := range recs {
-				if err := fn(rids[i], rec); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		return bf, flush
-	})
-}
-
-// RecBatchFunc receives one page's worth of live records during a batch
-// scan: rids[i] addresses recs[i]. The slices and the record bytes alias
+// RecBatchFunc receives one page's worth of live records during a scan:
+// rids[i] addresses recs[i]. The slices and the record bytes alias
 // per-worker buffers that are reused for the next page — decode or copy
 // before returning. Scans with dop > 1 call different workers' functions
 // concurrently.
 type RecBatchFunc func(rids []RID, recs [][]byte) error
 
-// ScanBatches visits every live record, delivering a page-worth of records
-// per callback instead of one record at a time — the decode amortization
-// the vectorized executor builds batches from. dop <= 0 selects one worker
-// per volume; dop == 1 is a serial scan. mk is called once per worker and
-// returns that worker's page callback plus an optional flush run (serially,
-// in worker order) after all workers finish successfully.
-func (h *Heap) ScanBatches(dop int, mk func(worker int) (RecBatchFunc, func() error)) error {
-	return h.ScanBatchesCtx(context.Background(), dop, mk)
-}
-
-// ScanBatchesCtx is ScanBatches with cancellation: workers stop claiming
-// pages once ctx is done and the scan returns ctx's error. Parallel scans
-// do not spawn goroutines — shards run on the file group's persistent
-// scan-worker pool (plus the calling goroutine), claiming pages in
-// morsel-sized chunks from per-stripe counters: each shard streams its own
-// volume-aligned stripe first (one worker per volume when dop equals the
-// stripe width, the paper's parallel prefetch model) and steals from the
-// other stripes when its own runs dry, so a shard the pool schedules late
-// never leaves pages behind.
-func (h *Heap) ScanBatchesCtx(ctx context.Context, dop int, mk func(worker int) (RecBatchFunc, func() error)) error {
+// Scan visits every live record, delivering a page of records per
+// callback — the decode amortization the vectorized executor builds
+// batches from. dop <= 0 selects one worker per volume; dop == 1 is a
+// serial scan. mk is called sequentially, once per worker before any page
+// is read, and returns that worker's callback, so per-worker state needs
+// no locking to build. Once ctx is done workers stop claiming pages and
+// the scan returns ctx's error; a callback panic (or a decode of a
+// poisoned page) is confined to the scan and returned as ErrScanPanic.
+// Shards run on the file group's persistent scan-worker pool plus the
+// calling goroutine, which runs a serial scan alone, claiming pages in
+// morsel-sized chunks from per-stripe counters: each shard streams its
+// own volume-aligned stripe first (one worker per volume when dop equals
+// the stripe width, the paper's parallel prefetch model) and steals from
+// the other stripes when its own runs dry, so a shard the pool schedules
+// late never leaves pages behind.
+func (h *Heap) Scan(ctx context.Context, dop int, mk func(worker int) RecBatchFunc) error {
 	j := scanJobPool.Get().(*scanJob)
 	h.mu.RLock()
 	j.pageIDs = append(j.pageIDs[:0], h.pageIDs...)
@@ -538,11 +508,6 @@ func (h *Heap) ScanBatchesCtx(ctx context.Context, dop int, mk func(worker int) 
 	if dop > 4*runtime.NumCPU() {
 		dop = 4 * runtime.NumCPU()
 	}
-	if dop == 1 {
-		err := h.scanSerial(ctx, j.pageIDs, mk)
-		scanJobPool.Put(j)
-		return err
-	}
 	j.init(h, ctx, dop, mk)
 	h.fg.ScanPool().Run(dop, j)
 	err := j.finish()
@@ -551,59 +516,13 @@ func (h *Heap) ScanBatchesCtx(ctx context.Context, dop int, mk func(worker int) 
 	return err
 }
 
-// scanSerial is the dop == 1 fast path: run inline — no pool dispatch,
-// shard state, or error joining for a single worker.
-func (h *Heap) scanSerial(ctx context.Context, pageIDs []uint64, mk func(worker int) (RecBatchFunc, func() error)) error {
-	fn, flush := mk(0)
-	sb := scanBufPool.Get().(*scanBuf)
-	buf := sb.page
-	rids, recs := sb.rids, sb.recs
-	var err error
-	for pi := 0; pi < len(pageIDs); pi++ {
-		// Check before every page read, not on a stride: a cold page is a
-		// (simulated) disk seek, and a cancelled query must not issue even
-		// one more of them — that I/O slot belongs to live queries.
-		if err = ctx.Err(); err != nil {
-			break
-		}
-		if err = h.fg.ReadPageCtx(ctx, pageIDs[pi], buf); err != nil {
-			break
-		}
-		p := page(buf)
-		rids, recs = rids[:0], recs[:0]
-		for s := 0; s < p.slotCount(); s++ {
-			rec, ok := p.record(s)
-			if !ok {
-				continue
-			}
-			rids = append(rids, MakeRID(uint64(pi), s))
-			recs = append(recs, rec)
-		}
-		if len(recs) == 0 {
-			continue
-		}
-		if err = fn(rids, recs); err != nil {
-			break
-		}
-	}
-	sb.rids, sb.recs = rids, recs
-	scanBufPool.Put(sb)
-	if err != nil {
-		return err
-	}
-	if flush != nil {
-		return flush()
-	}
-	return nil
-}
-
 // scanMorselPages is how many pages one counter claim hands a shard:
 // large enough that claims are off the hot path, small enough that
 // work-stealing rebalances a shard the pool scheduled late.
 const scanMorselPages = 8
 
-// scanJob is one parallel scan's dispatch state, pooled across scans so a
-// steady-state parallel scan allocates nothing. It implements sched.Task:
+// scanJob is one scan's dispatch state, pooled across scans so a
+// steady-state scan allocates nothing. It implements sched.Task:
 // shard w drains stripe w (pages ≡ w mod dop — one volume when dop equals
 // the stripe width), then steals leftovers from the other stripes.
 type scanJob struct {
@@ -612,7 +531,6 @@ type scanJob struct {
 	pageIDs []uint64
 	dop     int
 	fns     []RecBatchFunc
-	flushes []func() error
 	errs    []error
 	stripes []atomic.Int64 // per-stripe count of pages already claimed
 	stop    atomic.Bool
@@ -622,20 +540,18 @@ var scanJobPool = sync.Pool{New: func() any { return new(scanJob) }}
 
 // init sizes the per-shard state and collects the worker callbacks. mk
 // runs sequentially here, before any shard is dispatched, preserving
-// ScanBatches' contract that per-worker state needs no locking to build.
-func (j *scanJob) init(h *Heap, ctx context.Context, dop int, mk func(worker int) (RecBatchFunc, func() error)) {
+// Scan's contract that per-worker state needs no locking to build.
+func (j *scanJob) init(h *Heap, ctx context.Context, dop int, mk func(worker int) RecBatchFunc) {
 	j.h, j.ctx, j.dop = h, ctx, dop
 	j.stop.Store(false)
 	if cap(j.fns) < dop {
 		j.fns = make([]RecBatchFunc, dop)
-		j.flushes = make([]func() error, dop)
 		j.errs = make([]error, dop)
 		j.stripes = make([]atomic.Int64, dop)
 	}
-	j.fns, j.flushes = j.fns[:dop], j.flushes[:dop]
-	j.errs, j.stripes = j.errs[:dop], j.stripes[:dop]
+	j.fns, j.errs, j.stripes = j.fns[:dop], j.errs[:dop], j.stripes[:dop]
 	for w := 0; w < dop; w++ {
-		j.fns[w], j.flushes[w] = mk(w)
+		j.fns[w] = mk(w)
 		j.errs[w] = nil
 		j.stripes[w].Store(0)
 	}
@@ -645,7 +561,7 @@ func (j *scanJob) init(h *Heap, ctx context.Context, dop int, mk func(worker int
 func (j *scanJob) reset() {
 	j.h, j.ctx = nil, nil
 	for w := range j.fns {
-		j.fns[w], j.flushes[w], j.errs[w] = nil, nil, nil
+		j.fns[w], j.errs[w] = nil, nil
 	}
 }
 
@@ -660,6 +576,7 @@ func (j *scanJob) RunShard(w int) {
 	defer func() {
 		if r := recover(); r != nil {
 			j.errs[w] = fmt.Errorf("%w: shard %d: %v", ErrScanPanic, w, r)
+			j.h.fg.scanPanics.Add(1)
 			j.stop.Store(true)
 		}
 	}()
@@ -742,8 +659,7 @@ func (j *scanJob) scanPage(pi int, fn RecBatchFunc, sb *scanBuf) error {
 }
 
 // finish joins every shard's error — a multi-volume read failure reports
-// all failing workers, not just the first — and, on success, runs the
-// flushes serially in worker order.
+// all failing workers, not just the first.
 func (j *scanJob) finish() error {
 	var first error
 	multi := false
@@ -763,16 +679,5 @@ func (j *scanJob) finish() error {
 	if first != nil {
 		return first
 	}
-	if err := j.ctx.Err(); err != nil {
-		return err
-	}
-	for _, flush := range j.flushes {
-		if flush == nil {
-			continue
-		}
-		if err := flush(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return j.ctx.Err()
 }

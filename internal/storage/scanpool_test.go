@@ -42,7 +42,7 @@ func TestScanBatchesJoinsWorkerErrors(t *testing.T) {
 	var barrier sync.WaitGroup
 	barrier.Add(dop)
 	workerErrs := make([]error, dop)
-	err := h.ScanBatches(dop, func(worker int) (RecBatchFunc, func() error) {
+	err := h.Scan(context.Background(), dop, func(worker int) RecBatchFunc {
 		workerErrs[worker] = fmt.Errorf("worker %d failed", worker)
 		first := true
 		fn := func(rids []RID, recs [][]byte) error {
@@ -54,7 +54,7 @@ func TestScanBatchesJoinsWorkerErrors(t *testing.T) {
 			}
 			return nil
 		}
-		return fn, nil
+		return fn
 	})
 	if err == nil {
 		t.Fatal("scan succeeded, want joined worker errors")
@@ -75,22 +75,22 @@ func TestScanBatchesSingleErrorUnwrapped(t *testing.T) {
 	h := NewHeap(fg)
 	fillHeap(t, h, 2000)
 	sentinel := errors.New("sentinel")
-	err := h.ScanBatches(4, func(worker int) (RecBatchFunc, func() error) {
+	err := h.Scan(context.Background(), 4, func(worker int) RecBatchFunc {
 		fn := func(rids []RID, recs [][]byte) error {
 			if worker == 0 {
 				return sentinel
 			}
 			return nil
 		}
-		return fn, nil
+		return fn
 	})
 	if err != sentinel {
 		t.Fatalf("err = %v, want the sentinel unwrapped", err)
 	}
 }
 
-// TestScanBatchesCtxCancel verifies both scan paths stop once the context
-// is done and report its error.
+// TestScanBatchesCtxCancel verifies serial and parallel scans stop once
+// the context is done and report its error.
 func TestScanBatchesCtxCancel(t *testing.T) {
 	fg := NewMemFileGroup(4, 0)
 	defer fg.Close()
@@ -99,14 +99,14 @@ func TestScanBatchesCtxCancel(t *testing.T) {
 	for _, dop := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var pages atomic.Int64
-		err := h.ScanBatchesCtx(ctx, dop, func(worker int) (RecBatchFunc, func() error) {
+		err := h.Scan(ctx, dop, func(worker int) RecBatchFunc {
 			fn := func(rids []RID, recs [][]byte) error {
 				if pages.Add(1) == 2 {
 					cancel()
 				}
 				return nil
 			}
-			return fn, nil
+			return fn
 		})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
@@ -158,8 +158,8 @@ func TestScanCancelWhileVolumeBlocked(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
-			done <- h.ScanBatchesCtx(ctx, dop, func(worker int) (RecBatchFunc, func() error) {
-				return func(rids []RID, recs [][]byte) error { return nil }, nil
+			done <- h.Scan(ctx, dop, func(worker int) RecBatchFunc {
+				return func(rids []RID, recs [][]byte) error { return nil }
 			})
 		}()
 
@@ -201,7 +201,7 @@ func TestScanPoolPersists(t *testing.T) {
 	fillHeap(t, h, 4000)
 	countScan := func() int64 {
 		var rows atomic.Int64
-		if err := h.Scan(4, func(rid RID, rec []byte) error {
+		if err := scanRecs(h, 4, func(rid RID, rec []byte) error {
 			rows.Add(1)
 			return nil
 		}); err != nil {
@@ -233,7 +233,7 @@ func TestScanPoolCloseStopsWorkers(t *testing.T) {
 	fg := NewMemFileGroup(4, 0)
 	h := NewHeap(fg)
 	fillHeap(t, h, 2000)
-	if err := h.Scan(4, func(RID, []byte) error { return nil }); err != nil {
+	if err := scanRecs(h, 4, func(RID, []byte) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	workers := fg.ScanPoolStats().Workers

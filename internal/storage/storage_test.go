@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -214,6 +215,21 @@ func TestHeapDelete(t *testing.T) {
 	}
 }
 
+// scanRecs scans h calling fn once per live record; fn is shared by every
+// worker, so it runs concurrently when dop > 1.
+func scanRecs(h *Heap, dop int, fn func(rid RID, rec []byte) error) error {
+	return h.Scan(context.Background(), dop, func(int) RecBatchFunc {
+		return func(rids []RID, recs [][]byte) error {
+			for i, rec := range recs {
+				if err := fn(rids[i], rec); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	})
+}
+
 func TestHeapScanSerialAndParallel(t *testing.T) {
 	fg := NewMemFileGroup(4, 256)
 	h := NewHeap(fg)
@@ -226,7 +242,7 @@ func TestHeapScanSerialAndParallel(t *testing.T) {
 	for _, dop := range []int{1, 4, 16} {
 		var count atomic.Int64
 		seen := sync.Map{}
-		err := h.Scan(dop, func(rid RID, rec []byte) error {
+		err := scanRecs(h, dop, func(rid RID, rec []byte) error {
 			count.Add(1)
 			if _, dup := seen.LoadOrStore(rid, true); dup {
 				return fmt.Errorf("rid %v visited twice", rid)
@@ -256,7 +272,7 @@ func TestHeapScanSkipsDeleted(t *testing.T) {
 		}
 	}
 	n := 0
-	_ = h.Scan(1, func(rid RID, rec []byte) error {
+	_ = scanRecs(h, 1, func(rid RID, rec []byte) error {
 		if rec[0]%2 == 0 {
 			t.Errorf("deleted record %d surfaced in scan", rec[0])
 		}
@@ -280,7 +296,7 @@ func TestHeapScanEarlyStop(t *testing.T) {
 		}
 	}
 	var visited atomic.Int64
-	err := h.Scan(4, func(rid RID, rec []byte) error {
+	err := scanRecs(h, 4, func(rid RID, rec []byte) error {
 		if visited.Add(1) >= 10 {
 			return errStop
 		}
@@ -296,7 +312,7 @@ func TestHeapScanEarlyStop(t *testing.T) {
 
 func TestHeapEmptyScan(t *testing.T) {
 	h := NewHeap(NewMemFileGroup(2, 8))
-	if err := h.Scan(4, func(RID, []byte) error { return errStop }); err != nil {
+	if err := scanRecs(h, 4, func(RID, []byte) error { return errStop }); err != nil {
 		t.Errorf("empty scan: %v", err)
 	}
 }
@@ -360,11 +376,11 @@ func TestPageCacheWarmReads(t *testing.T) {
 	}
 	fg.DropCache()
 	before := fg.PhysReads()
-	_ = h.Scan(1, func(RID, []byte) error { return nil })
+	_ = scanRecs(h, 1, func(RID, []byte) error { return nil })
 	coldReads := fg.PhysReads() - before
 
 	before = fg.PhysReads()
-	_ = h.Scan(1, func(RID, []byte) error { return nil })
+	_ = scanRecs(h, 1, func(RID, []byte) error { return nil })
 	warmReads := fg.PhysReads() - before
 
 	if coldReads == 0 {
@@ -381,10 +397,10 @@ func TestDropCacheForcesPhysicalReads(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		_, _ = h.Append(bytes.Repeat([]byte{1}, 1000))
 	}
-	_ = h.Scan(1, func(RID, []byte) error { return nil }) // warm it
+	_ = scanRecs(h, 1, func(RID, []byte) error { return nil }) // warm it
 	fg.DropCache()
 	before := fg.PhysReads()
-	_ = h.Scan(1, func(RID, []byte) error { return nil })
+	_ = scanRecs(h, 1, func(RID, []byte) error { return nil })
 	if fg.PhysReads() == before {
 		t.Error("scan after DropCache read nothing physically")
 	}
@@ -423,7 +439,7 @@ func throttledScanRate(t *testing.T, disks, pagesPerDisk int, cfg DiskModelConfi
 		}
 	}
 	start := time.Now()
-	if err := h.Scan(disks, func(RID, []byte) error { return nil }); err != nil {
+	if err := scanRecs(h, disks, func(RID, []byte) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	modelSec := time.Since(start).Seconds() * cfg.SpeedUp
@@ -493,10 +509,11 @@ func BenchmarkHeapScanWarm(b *testing.B) {
 	for i := 0; i < 10000; i++ {
 		_, _ = h.Append(rec)
 	}
+	noop := func([]RID, [][]byte) error { return nil }
 	b.ResetTimer()
 	b.SetBytes(int64(10000 * len(rec)))
 	for i := 0; i < b.N; i++ {
-		if err := h.Scan(4, func(RID, []byte) error { return nil }); err != nil {
+		if err := h.Scan(context.Background(), 4, func(int) RecBatchFunc { return noop }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -519,7 +536,7 @@ func TestDeleteThenAppendDoesNotResurrect(t *testing.T) {
 		t.Fatal("deleted record resurrected by subsequent append")
 	}
 	n := 0
-	_ = h.Scan(1, func(RID, []byte) error { n++; return nil })
+	_ = scanRecs(h, 1, func(RID, []byte) error { n++; return nil })
 	if n != 1 {
 		t.Fatalf("scan sees %d rows, want 1", n)
 	}

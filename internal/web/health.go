@@ -96,7 +96,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Ready:            ready,
 		Draining:         !ready,
 		PanicsRecovered:  s.panics.Load(),
-		ScanPanics:       fg.ScanPoolStats().PanicsRecovered,
+		ScanPanics:       int64(fg.ScanPanics()),
 		ReadRetries:      fg.ReadRetries(),
 		ChecksumFailures: fg.ChecksumFails(),
 		Running:          ad.Running,
